@@ -632,14 +632,28 @@ def _read_source(path: str) -> str:
     return file.read_text()
 
 
+def _get_workload(args: argparse.Namespace):
+    """The suite workload ``NAME`` at ``--scale``.  An unknown name exits
+    2 with the available names, not a traceback."""
+    from repro.workloads import get_workload, workload_names
+
+    names = workload_names()
+    if args.name not in names:
+        print(
+            f"repro {args.command}: unknown workload {args.name!r}; "
+            f"available: {', '.join(names)}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return get_workload(args.name, args.scale)
+
+
 def _resolve_program(args: argparse.Namespace):
     """``NAME`` is a Mini-C file path if one exists, else a suite
     workload resolved at ``--scale``.  Returns (source, display name)."""
     if Path(args.name).exists():
         return _read_source(args.name), Path(args.name).stem
-    from repro.workloads import get_workload
-
-    workload = get_workload(args.name, args.scale)
+    workload = _get_workload(args)
     return workload.source, workload.name
 
 
@@ -788,11 +802,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.machine.session import CaratSession, RunConfig
-    from repro.workloads import get_workload
 
     if args.name is None:
         return _cmd_workloads(args)
-    workload = get_workload(args.name, args.scale)
+    workload = _get_workload(args)
 
     def run_mode(mode: str):
         config = RunConfig.from_args(args, mode=mode, name=workload.name)
@@ -827,9 +840,8 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         scatter_capsule,
     )
     from repro.resilience import DegradationManager
-    from repro.workloads import get_workload
 
-    workload = get_workload(args.name, args.scale)
+    workload = _get_workload(args)
     fast = args.fast_kb * 1024
     kernel = Kernel(
         memory_size=args.memory_kb * 1024,
@@ -1066,12 +1078,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.machine.session import CaratSession, RunConfig
     from repro.sanitizer import Sanitizer
-    from repro.workloads import all_workloads, get_workload
+    from repro.workloads import all_workloads
 
     if args.name is None:
         workloads = all_workloads(args.scale)
     else:
-        workloads = [get_workload(args.name, args.scale)]
+        workloads = [_get_workload(args)]
     modes = ["carat", "traditional"] if args.mode == "both" else [args.mode]
 
     failures = 0

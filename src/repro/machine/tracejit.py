@@ -38,6 +38,14 @@ changing a single observable number:
   run of the off-trace path that hands straight back to the trace it
   re-joins — so workloads whose hot loop branches on data (an
   accept/reject split) stay in compiled code on both arms;
+* a recording whose anchor frame executes its ``ret`` closes as a
+  **return trace**: a linear run from the anchor to the return, which
+  it executes through the block tier's return op (program exit and the
+  caller's result slot stay that op's code) before handing back to the
+  dispatch loop — so a function called once per request, whose hot
+  blocks never loop back to themselves, still runs compiled from its
+  hot entry to its return.  A recursive activation (its function is
+  already on the stack below it) is struck instead of closed;
 * ``carat.guard.*`` sites are **parameter-specialized** à la a
   branch-free translator: the trace bakes a per-site cell holding the
   resolved region's ``base``/``end`` and the mechanism's steady-state
@@ -149,6 +157,10 @@ _ABORT_LIMIT = 3
 
 _UNBUILT = object()
 
+#: ``end`` marker for a *return trace*: a linear trace that finishes with
+#: the anchor frame's own ``ret`` instead of entering a block.
+_RETURN = object()
+
 
 class _SpecCell:
     """One specialized guard site: the resolved check's baked parameters.
@@ -203,7 +215,7 @@ def _respecialize(spec, cell, regions, mech, access, stats, tracer) -> None:
     spec.access = access
     spec.gen = cell.gen
     stats.trace_respecializations += 1
-    if tracer is not None:
+    if tracer is not None and tracer.fine:
         tracer.instant(
             "trace.respecialize", "trace",
             {"base": region.base, "end": region.end, "gen": cell.gen},
@@ -335,7 +347,7 @@ _MAX_INLINE_DEPTH = 8
 _LAYOUT_OP_BUDGET = 5000
 
 
-def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
+def _layout(chain: List[Tuple[int, BasicBlock]], end):
     """Replay a recorded ``(depth, block)`` chain as a *static* walk from
     the anchor, linearizing it into emission segments.
 
@@ -344,20 +356,24 @@ def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
     (branch; ``data`` is ``(inst, on_trace_target)``), a ``"call"``
     (defined non-carat callee: the trace runs the block tier's call op,
     which pushes a real frame, then continues *inside* the callee's
-    entry block), or a ``"return"`` (depth > 0 only: the block tier's
-    return op pops the frame and the walk resumes in the caller right
-    after the call).  Calls and returns consume no chain entries —
-    recording only observes branch terminators, and a callee's entry is
-    statically known from the call — so single-block callees inline for
-    free.  Branches consume the next entry, which must sit at the
-    walker's depth and be a target of the branch; when the chain is
-    exhausted the closing branch must re-enter the anchor at depth 0 —
-    or, for a *linear* side trace (``end`` is not ``None``), land on
-    ``end``, the already-traced block the recording finished at.
-    Any mismatch — a return at depth 0, mid-block terminators, phis or
-    unreachables in a body, depth or target disagreement, recursion past
-    :data:`_MAX_INLINE_DEPTH` — returns ``None`` (the chain is not a
-    static path; the caller strikes the anchor)."""
+    entry block), a ``"return"`` (depth > 0: the block tier's return op
+    pops the frame and the walk resumes in the caller right after the
+    call), or a ``"ret"`` (depth 0, return traces only: the anchor
+    frame's own return, always the final segment).  Calls and returns
+    consume no chain entries — recording only observes branch
+    terminators, and a callee's entry is statically known from the call
+    — so single-block callees inline for free.  Branches consume the
+    next entry, which must sit at the walker's depth and be a target of
+    the branch; when the chain is exhausted the closing branch must
+    re-enter the anchor at depth 0 — or, for a *linear* side trace
+    (``end`` is a block), land on ``end``, the already-traced block the
+    recording finished at.  A *return* trace (``end is _RETURN``)
+    instead closes with a depth-0 return once the chain is exhausted.
+    Any mismatch — a depth-0 return anywhere else, mid-block
+    terminators, phis or unreachables in a body, depth or target
+    disagreement, recursion past :data:`_MAX_INLINE_DEPTH` — returns
+    ``None`` (the chain is not a static path; the caller strikes the
+    anchor)."""
     anchor = chain[0][1]
     final = anchor if end is None else end
     if chain[0][0] != 0:
@@ -401,8 +417,13 @@ def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
             k = block.first_non_phi_index()
             continue
         if isinstance(inst, ReturnInst):
-            if not stack or k != len(insts) - 1:
+            if k != len(insts) - 1:
                 return None
+            if not stack:
+                if end is not _RETURN or cursor < len(chain):
+                    return None
+                segments.append((block, start, k, "ret", inst))
+                return segments
             # The paired call rides along: the return's result lands in
             # the caller slot of the call that pushed this frame, which
             # the walk knows statically.
@@ -480,7 +501,7 @@ def _build_trace(
     mech_name: str,
     is_carat: bool,
     has_tier: bool,
-    end: Optional[BasicBlock] = None,
+    end=None,
 ) -> Optional[_TraceCode]:
     """Compile one recorded chain into a :class:`_TraceCode`, or ``None``
     if the chain is not linearizable.
@@ -491,7 +512,13 @@ def _build_trace(
     which chains straight into that trace.  Side traces compile the hot
     off-trace paths of a parent trace (its side-exit targets), so
     workloads with data-dependent branches stay in compiled code instead
-    of bridging each divergence through the block tier.
+    of bridging each divergence through the block tier.  With ``end is
+    _RETURN`` the result is a *return trace*: the linear run ends with
+    the anchor frame's own ``ret``, executed through the block tier's
+    return op (so the program-exit arm and the caller's result slot are
+    the block tier's code), followed by the tick check and a return to
+    the dispatch loop — a function tail such as a request handler's runs
+    compiled from its hot entry to its return.
 
     The generated source inlines the same per-instruction templates
     fastexec specializes (same expressions, same charge order, same
@@ -1292,11 +1319,11 @@ def _build_trace(
     w.line(1, "values = frame.values")
     w.line(1, "while True:")
     ci_line = "    " * 3 + "stats.cycles += _ci"
-    for si, (block, start, end, kind, data) in enumerate(segments):
+    for si, (block, start, stop, kind, data) in enumerate(segments):
         insts = block.instructions
         w.line(2, "try:")
         mark = len(w.lines)
-        for k in range(start, end):
+        for k in range(start, stop):
             inst = insts[k]
             w.line(3, f"frame.index = {k + 1}")
             emit_op(block, k, inst)
@@ -1311,15 +1338,15 @@ def _build_trace(
         # guard), which stay in place; ticks and pauses run at segment
         # boundaries, where the batched total is the exact total.
         n_ci = 0
-        if end > start:
+        if stop > start:
             body = w.lines[mark:]
             n_ci = body.count(ci_line)
-            if n_ci == end - start and n_ci > 1:
+            if n_ci == stop - start and n_ci > 1:
                 w.lines[mark:] = [ln for ln in body if ln != ci_line]
                 w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
             else:
                 n_ci = 0
-        w.line(3, f"frame.index = {end + 1}")
+        w.line(3, f"frame.index = {stop + 1}")
         exit_flag = None
         if kind == "term":
             term, target = data
@@ -1337,8 +1364,10 @@ def _build_trace(
                     del available[tg]
         elif kind == "call":
             emit_call_inline(data)
-        else:
+        elif kind == "return":
             emit_return_inline(*data)
+        else:
+            fallback(block, stop)
         w.line(2, "except BaseException:")
         if n_ci:
             # Un-charge the batched base cost of the body ops that never
@@ -1349,10 +1378,10 @@ def _build_trace(
             w.line(4, f"stats.cycles -= ({n_ci} - _done) * _ci")
         w.line(3, f"stats.instructions += frame.index - 1 - {start}")
         w.line(3, "raise")
-        nops = end + 1 - start
+        nops = stop + 1 - start
         w.line(2, f"steps += {nops}")
         w.line(2, f"stats.instructions += {nops}")
-        if kind != "term":
+        if kind in ("call", "return"):
             # The frame just changed (push on call, pop on return):
             # rebind the locals every inlined template reads, and forget
             # guard availability — the stack pointer moved and the slot
@@ -1375,9 +1404,12 @@ def _build_trace(
             w.line(3, "if _tracer is not None and _tracer.fine:")
             w.line(4, f"_tracer.instant('trace.exit', 'trace', _e{si})")
             w.line(3, "return steps")
+        if kind == "ret":
+            w.line(2, "return steps")
+            break
         w.line(2, "if steps >= max_steps:")
         w.line(3, "return steps")
-    if end is not None:
+    if end is not None and end is not _RETURN:
         # Linear side trace: the closing edge just entered ``end`` (its
         # phis assigned, index at first_non_phi) — hand control back so
         # the dispatch loop chains into the trace installed there.
@@ -1407,7 +1439,9 @@ class TraceInterpreter(FastInterpreter):
     hotness of the block they land on; at the threshold that block
     anchors a recording that may finish as a *linear* side trace the
     moment it re-reaches any traced block, so hot off-trace arms get
-    compiled too and chain straight back into the loop trace.
+    compiled too and chain straight back into the loop trace.  A
+    recording whose anchor frame returns instead closes as a *return
+    trace* (the dispatch loop sees the recorded frame pop).
 
     Compiled trace *code* is shared across interpreters of the same
     module (``ModuleCode.trace_codes``); the per-interpreter
@@ -1483,11 +1517,13 @@ class TraceInterpreter(FastInterpreter):
         anchor frame: calls push frames without notifying (call ops are
         not terminators), so a callee's interior branches arrive at
         depth > 0 and the layout walker re-derives the call/return
-        structure statically.  A negative depth means the anchor frame
-        returned (the path escaped the loop); depth 0 with a different
-        frame means the stack sank and re-grew through foreign calls.
-        Both abort — as does recursion past the inline cap, which would
-        otherwise unroll without bound."""
+        structure statically.  The anchor frame's own return closes the
+        recording as a return trace (:meth:`_note_recorded_return`)
+        before any caller block arrives here, so a negative depth is a
+        defensive abort; depth 0 with a different frame means the stack
+        sank and re-grew through foreign calls.  Both abort — as does
+        recursion past the inline cap, which would otherwise unroll
+        without bound."""
         rec = self._recorder
         depth = len(self.frames) - rec.base_len
         if depth < 0 or depth > _MAX_INLINE_DEPTH:
@@ -1517,6 +1553,20 @@ class TraceInterpreter(FastInterpreter):
         rec.chain.append((depth, frame.block))
         return None
 
+    def _note_recorded_return(self) -> None:
+        """The recorded frame just executed its ``ret``: close the
+        recording as a return trace.  A frame whose function is still on
+        the stack below it is a recursive activation, whose path unrolls
+        its own recursion to whatever depth this one call reached; it is
+        struck instead, as recursion past the inline cap is."""
+        rec = self._recorder
+        self._recorder = None
+        function = rec.frame.function
+        if any(f.function is function for f in self.frames):
+            self._strike(id(rec.anchor))
+            return
+        self._finish_trace(rec, end=_RETURN)
+
     def _abort_recording(self) -> None:
         rec = self._recorder
         self._recorder = None
@@ -1529,7 +1579,7 @@ class TraceInterpreter(FastInterpreter):
         if count >= _ABORT_LIMIT:
             self._trace_blacklist.add(key)
 
-    def _finish_trace(self, rec: _Recorder, end: Optional[BasicBlock] = None):
+    def _finish_trace(self, rec: _Recorder, end=None):
         runtime = self.process.runtime
         tracer = runtime.tracer if runtime is not None else None
         # Specialization bakes per-site region parameters; it must sit
@@ -1556,7 +1606,7 @@ class TraceInterpreter(FastInterpreter):
             mech_name,
             self.is_carat,
             has_tier,
-            0 if end is None else id(end),
+            0 if end is None else id(end),  # _RETURN's id is its own key
         )
         tcode = self._code.trace_codes.get(key, _UNBUILT)
         if tcode is _UNBUILT:
@@ -1585,6 +1635,7 @@ class TraceInterpreter(FastInterpreter):
                     "specialized": tcode.specialize,
                     "inline_depth": max(d for d, _b in rec.chain),
                     "linear": end is not None,
+                    "returns": end is _RETURN,
                 },
             )
         return fn
@@ -1673,6 +1724,13 @@ class TraceInterpreter(FastInterpreter):
                             self.exit_code = exit_request.code
                             frames.clear()
                             break
+                elif (
+                    self._recorder is not None
+                    and self._recorder.frame is frame
+                ):
+                    # The recorded frame just returned (``ret`` is the
+                    # only terminator that pops a frame).
+                    self._note_recorded_return()
         if not frames:
             self.finished = True
             self.kernel.exit_process(self.process, self.exit_code)

@@ -136,15 +136,17 @@ class AllocationTable:
         """All allocations intersecting [lo, hi), ascending by address.
 
         The floor predecessor must be checked too: it may start before
-        ``lo`` but reach into the range.
+        ``lo`` but reach into the range.  Every allocation keyed inside
+        ``[lo, hi)`` overlaps it by construction (sizes are positive), so
+        the range walk needs no per-item test and the result no dedupe.
         """
         result: List[Allocation] = []
         found = self._tree.floor_item(lo)
-        if found is not None and found[1].overlaps(lo, hi):
+        if found is not None and found[0] < lo and found[1].overlaps(lo, hi):
             result.append(found[1])
-        for _, allocation in self._tree.items_in_range(lo, hi):
-            if allocation not in result and allocation.overlaps(lo, hi):
-                result.append(allocation)
+        result.extend(
+            allocation for _, allocation in self._tree.items_in_range(lo, hi)
+        )
         return result
 
     def live_bytes(self) -> int:

@@ -25,6 +25,12 @@ from repro.runtime.allocation_table import Allocation, AllocationTable
 #: Reads the 8-byte little-endian value at a physical address.
 PointerReader = Callable[[int], int]
 
+#: Footprint model (Figure 6): bytes per hash-set entry (pointer plus
+#: bucket overhead), per set header, and per pending record.
+_PER_ENTRY = 16
+_PER_SET = 64
+_PER_PENDING = 8
+
 
 @dataclass
 class EscapeStats:
@@ -49,8 +55,22 @@ class AllocationToEscapeMap:
         self._escapes: Dict[int, Set[int]] = {}
         #: pending (unresolved) escape locations.
         self._pending: List[int] = []
+        #: The resolved sets' share of :meth:`memory_footprint_bytes`,
+        #: kept current by every mutator so the footprint is O(1).
+        self._set_bytes = 0
         self.batch_limit = batch_limit
         self.stats = EscapeStats()
+
+    def copy(self) -> "AllocationToEscapeMap":
+        """An independent copy of the resolved sets and the pending
+        buffer (with fresh stats)."""
+        twin = AllocationToEscapeMap(batch_limit=self.batch_limit)
+        twin._escapes = {
+            base: set(locations) for base, locations in self._escapes.items()
+        }
+        twin._pending = list(self._pending)
+        twin._set_bytes = self._set_bytes
+        return twin
 
     # -- recording -------------------------------------------------------------
 
@@ -76,13 +96,20 @@ class AllocationToEscapeMap:
         self.stats.flushes += 1
         resolved = 0
         pending, self._pending = self._pending, []
+        escapes = self._escapes
         for location in pending:
             target = read_pointer(location)
             allocation = table.find_containing(target)
             if allocation is None:
                 self.stats.stale_dropped += 1
                 continue
-            self._escapes.setdefault(allocation.address, set()).add(location)
+            locations = escapes.get(allocation.address)
+            if locations is None:
+                escapes[allocation.address] = {location}
+                self._set_bytes += _PER_SET + _PER_ENTRY
+            elif location not in locations:
+                locations.add(location)
+                self._set_bytes += _PER_ENTRY
             resolved += 1
         self.stats.resolved += resolved
         return resolved
@@ -123,22 +150,42 @@ class AllocationToEscapeMap:
     def memory_footprint_bytes(self) -> int:
         """Approximate footprint of the tracking structures (Figure 6):
         one 8-byte cell pointer per escape plus per-set overhead, plus the
-        pending buffer."""
-        per_entry = 16  # hash set entry: pointer + bucket overhead
-        per_set = 64  # set header
-        total = len(self._pending) * 8
-        for locations in self._escapes.values():
-            total += per_set + per_entry * len(locations)
-        return total
+        pending buffer.  O(1): the set share is a running total."""
+        return self._set_bytes + len(self._pending) * _PER_PENDING
 
     # -- maintenance --------------------------------------------------------------------
 
+    def _detach(self, address: int) -> Optional[Set[int]]:
+        """Remove and return ``address``'s escape set, if any."""
+        locations = self._escapes.pop(address, None)
+        if locations is not None:
+            self._set_bytes -= _PER_SET + _PER_ENTRY * len(locations)
+        return locations
+
+    def _merge(self, address: int, locations: Set[int]) -> None:
+        """Union a detached set into ``address``'s escape set (adopting
+        it when ``address`` has none)."""
+        existing = self._escapes.get(address)
+        if existing is None:
+            self._escapes[address] = locations
+            self._set_bytes += _PER_SET + _PER_ENTRY * len(locations)
+        else:
+            before = len(existing)
+            existing.update(locations)
+            self._set_bytes += _PER_ENTRY * (len(existing) - before)
+
+    def _replace(
+        self, address: int, locations: Set[int], updated: Set[int]
+    ) -> None:
+        """Swap ``address``'s escape set for its rewritten form."""
+        self._escapes[address] = updated
+        self._set_bytes += _PER_ENTRY * (len(updated) - len(locations))
+
     def rekey(self, old_address: int, new_address: int) -> None:
         """Follow an allocation that was rebased by page movement."""
-        locations = self._escapes.pop(old_address, None)
+        locations = self._detach(old_address)
         if locations is not None:
-            existing = self._escapes.setdefault(new_address, set())
-            existing.update(locations)
+            self._merge(new_address, locations)
 
     def rekey_all(self, moves: Iterable[Tuple[int, int]]) -> None:
         """Batched :meth:`rekey` for a group move.  All old keys are
@@ -146,15 +193,23 @@ class AllocationToEscapeMap:
         destination base equals another allocation's not-yet-rekeyed base
         cannot merge the two escape sets."""
         detached: List[Tuple[int, Optional[Set[int]]]] = [
-            (new_address, self._escapes.pop(old_address, None))
+            (new_address, self._detach(old_address))
             for old_address, new_address in moves
         ]
         for new_address, locations in detached:
             if locations is not None:
-                self._escapes.setdefault(new_address, set()).update(locations)
+                self._merge(new_address, locations)
 
     def drop_allocation(self, address: int) -> None:
-        self._escapes.pop(address, None)
+        self._detach(address)
+
+    def discard(self, address: int, location: int) -> None:
+        """Forget one resolved record of ``address``'s escape set (the
+        set itself stays, even when emptied)."""
+        locations = self._escapes[address]
+        if location in locations:
+            locations.discard(location)
+            self._set_bytes -= _PER_ENTRY
 
     def locations_in_range(self, lo: int, hi: int) -> List[int]:
         """Every recorded location (resolved or pending) in ``[lo, hi)``,
@@ -189,7 +244,7 @@ class AllocationToEscapeMap:
                 if target != loc:
                     rewritten += 1
                 updated.add(target)
-            self._escapes[address] = updated
+            self._replace(address, locations, updated)
         for i, loc in enumerate(self._pending):
             target = mapping.get(loc, loc)
             if target != loc:
@@ -212,7 +267,7 @@ class AllocationToEscapeMap:
                     rewritten += 1
                 else:
                     updated.add(loc)
-            self._escapes[address] = updated
+            self._replace(address, locations, updated)
         for i, loc in enumerate(self._pending):
             if lo <= loc < hi:
                 self._pending[i] = loc + delta

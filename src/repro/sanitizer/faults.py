@@ -80,7 +80,7 @@ class FaultInjector:
         for base, locations in sorted(primary.resolved_items()):
             if locations:
                 location = min(locations)
-                primary._escapes[base].discard(location)
+                primary.discard(base, location)
                 self.injected.append(
                     f"drop-escape: cell {location:#x} of allocation {base:#x}"
                 )

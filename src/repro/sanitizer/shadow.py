@@ -29,11 +29,7 @@ class ShadowedEscapeMap:
 
     def __init__(self, primary: AllocationToEscapeMap) -> None:
         self._primary = primary
-        shadow = AllocationToEscapeMap(batch_limit=primary.batch_limit)
-        for base, locations in primary.resolved_items():
-            shadow._escapes[base] = set(locations)
-        shadow._pending = primary.pending_locations()
-        self.shadow = shadow
+        self.shadow = primary.copy()
 
     # -- mutators: replayed on both copies ------------------------------
 

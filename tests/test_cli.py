@@ -86,3 +86,21 @@ def test_workloads_listing(capsys):
 def test_missing_file():
     with pytest.raises(SystemExit):
         main(["run", "/no/such/file.c"])
+
+
+@pytest.mark.parametrize(
+    "command", ["bench", "smp", "policy", "profile", "sanitize", "trace"]
+)
+def test_unknown_workload_is_a_clean_error(
+    command, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # "nosuch" must not resolve as a file
+    with pytest.raises(SystemExit) as info:
+        main([command, "nosuch"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"repro {command}: unknown workload 'nosuch'; available: "
+    )
+    assert "hpccg" in err and "kvservice" in err
+    assert "Traceback" not in err

@@ -20,6 +20,7 @@ from repro.runtime import (
     make_guard,
 )
 from repro.runtime.allocation_table import AllocationError
+from repro.runtime.patching import PAGE_SIZE, Patcher, page_down, page_up
 
 
 class TestAllocationTable:
@@ -111,8 +112,183 @@ class TestAllocationTable:
             )
             assert t.find_containing(probe) is expected
 
+    def test_overlapping_takes_straddler_and_exact_start_once(self):
+        t = AllocationTable()
+        straddler = t.add(0x0F00, 0x200)  # starts below lo, ends inside
+        exact = t.add(0x1100, 0x40)  # starts exactly at the next lo
+        clear = t.add(0x1200, 0x10)
+        assert t.overlapping(0x1000, 0x1200) == [straddler, exact]
+        assert t.overlapping(0x1100, 0x1200) == [exact]
+        assert t.overlapping(0x1100, 0x1100) == []
+        assert t.overlapping(0x1140, 0x1300) == [clear]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-2, max_value=62),
+                st.integers(min_value=-2, max_value=40),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=100)
+    def test_overlapping_matches_brute_force(self, blocks, queries):
+        t = AllocationTable()
+        placed = []
+        for slot, size in blocks:
+            try:
+                placed.append(t.add(slot * 16, size))
+            except AllocationError:
+                pass
+        placed.sort(key=lambda a: a.address)
+        # Query at every placed start too, so "starts exactly at lo" and
+        # "predecessor straddles lo" both come up on every example.
+        starts = [(a.address // 16, 3) for a in placed]
+        for slot, span in queries + starts:
+            lo, hi = slot * 16 + 4 * (slot % 3), slot * 16 + span * 8
+            expected = [a for a in placed if a.overlaps(lo, hi)]
+            assert t.overlapping(lo, hi) == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=120),
+                st.integers(min_value=1, max_value=3 * PAGE_SIZE),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=100)
+    def test_plan_move_matches_brute_force(self, blocks, first, pages):
+        t = AllocationTable()
+        placed = []
+        for slot, size in blocks:
+            try:
+                placed.append(t.add(slot * 512, size))
+            except AllocationError:
+                pass
+        placed.sort(key=lambda a: a.address)
+        lo, hi = first * PAGE_SIZE, (first + pages) * PAGE_SIZE
+        plan = Patcher(t, AllocationToEscapeMap(), memory=None).plan_move(lo, hi)
+        lookups = 0
+        while True:
+            lookups += 1
+            over = [a for a in placed if a.overlaps(lo, hi)]
+            new_lo = min([lo] + [page_down(a.address) for a in over])
+            new_hi = max([hi] + [page_up(a.end) for a in over])
+            if (new_lo, new_hi) == (lo, hi):
+                break
+            lo, hi = new_lo, new_hi
+        assert (plan.lo, plan.hi) == (lo, hi)
+        assert plan.allocations == over
+        assert plan.expand_lookups == lookups
+
+
+def _recount_footprint(m):
+    """The escape map's footprint by a full scan (the model it keeps as
+    a running total)."""
+    return len(m.pending_locations()) * 8 + sum(
+        64 + 16 * len(locations) for _base, locations in m.resolved_items()
+    )
+
+
+#: Allocation bases the escape-map property test resolves against.  A
+#: cell's stored pointer is chosen by the cell address: runs of four
+#: adjacent cells share a target (so shifted cells collide inside one
+#: set), and one run in five points at nothing tracked (stale records).
+_BASES = [0x10000 + i * 0x1000 for i in range(4)]
+
+
+def _cell_target(location):
+    return 0x10000 + (location // 32 % 5) * 0x1000 + 8
+
+
+_cells = st.integers(min_value=0, max_value=31).map(lambda i: 0x100 + 8 * i)
+_escape_ops = st.one_of(
+    st.tuples(st.just("record"), _cells),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("drop"), st.sampled_from(_BASES)),
+    st.tuples(
+        st.just("rekey"), st.sampled_from(_BASES), st.sampled_from(_BASES)
+    ),
+    st.tuples(
+        st.just("rekey_all"),
+        st.lists(
+            st.tuples(st.sampled_from(_BASES), st.sampled_from(_BASES)),
+            max_size=3,
+        ),
+    ),
+    st.tuples(
+        st.just("rewrite_range"),
+        _cells,
+        st.integers(min_value=0, max_value=64),
+        st.sampled_from([-16, -8, 8, 16, 0x40]),
+    ),
+    st.tuples(
+        st.just("rewrite_locations"),
+        st.lists(
+            st.tuples(_cells, st.sampled_from([-8, 8, 16])), max_size=4
+        ),
+    ),
+    st.tuples(
+        st.just("discard"),
+        st.sampled_from(_BASES),
+        st.integers(min_value=0, max_value=31),
+    ),
+    st.tuples(st.just("copy")),
+)
+
 
 class TestEscapeMap:
+    @given(
+        st.sets(_cells, max_size=24),
+        st.lists(_escape_ops, min_size=1, max_size=40),
+    )
+    @settings(max_examples=150)
+    def test_footprint_running_total_matches_recount(self, seeded, ops):
+        t = AllocationTable()
+        for base in _BASES:
+            t.add(base, 64)
+        m = AllocationToEscapeMap()
+        for cell in sorted(seeded):
+            m.record(cell)
+        m.flush(t, _cell_target)
+        for op in ops:
+            kind = op[0]
+            if kind == "record":
+                m.record(op[1])
+            elif kind == "flush":
+                m.flush(t, _cell_target)
+            elif kind == "drop":
+                m.drop_allocation(op[1])
+            elif kind == "rekey":
+                m.rekey(op[1], op[2])
+            elif kind == "rekey_all":
+                m.rekey_all(op[1])
+            elif kind == "rewrite_range":
+                m.rewrite_range(op[1], op[1] + op[2], op[3])
+            elif kind == "rewrite_locations":
+                m.rewrite_locations([(c, c + d) for c, d in op[1]])
+            elif kind == "discard":
+                locations = sorted(dict(m.resolved_items()).get(op[1], ()))
+                if locations:
+                    m.discard(op[1], locations[op[2] % len(locations)])
+            else:
+                m = m.copy()
+            assert m.memory_footprint_bytes() == _recount_footprint(m)
+
     def _memory(self, contents):
         return lambda address: contents.get(address, 0)
 

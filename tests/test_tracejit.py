@@ -4,17 +4,22 @@ The differential suite (``test_fastexec_differential``,
 ``test_fault_campaign``, ``test_multiproc``) proves the trace engine is
 observably the reference engine; this file tests the tier's own
 machinery — promotion thresholds, side exits, recording aborts and the
-blacklist, guard respecialization on region-generation bumps, the new
-counters, and per-interpreter isolation of compiled traces.
+blacklist, guard respecialization on region-generation bumps (and the
+detail level its trace events need), the new counters, per-interpreter
+isolation of compiled traces, and return traces.
 """
 
 import pytest
 
 from repro.carat.pipeline import CompileOptions, compile_carat
+from repro.errors import ProtectionFault
+from repro.ir.instructions import ReturnInst
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
-from repro.machine.session import RunConfig
+from repro.machine.session import CaratSession, RunConfig
+from repro.machine.tracejit import _RETURN
 from repro.telemetry.metrics import run_snapshot
+from repro.workloads import get_workload
 
 #: A nested hot loop over heap memory — the bread-and-butter promotion
 #: case: the inner loop's back-edge target gets hot and its body (loads,
@@ -89,6 +94,46 @@ void main() {
 }
 """
 RECURSIVE_OUTPUT = ["2000"]
+
+
+#: A hot callee tail: main's loop trace records one arm of ``get``'s
+#: branch, so every other call side-exits inside ``get`` and finishes in
+#: the block tier — whose branch into the ``ret`` block makes that block
+#: an anchor and compiles it into a return trace.  ``(i / LIMIT)`` turns
+#: the load into a guard fault from iteration LIMIT on.
+TAIL_SOURCE = """
+long get(long *p, long i) {
+  long s;
+  if (i % 2 == 0) { s = 1; } else { s = 2; }
+  return s + p[(i / LIMIT) * 100000000];
+}
+void main() {
+  long *a = (long*)malloc(8 * 8);
+  long i;
+  long acc;
+  acc = 0;
+  for (i = 0; i < 8; i++) { a[i] = i; }
+  for (i = 0; i < 200; i++) { acc = acc + get(a, i); }
+  print_long(acc);
+  free(a);
+}
+"""
+TAIL_OUTPUT = [str(100 * 1 + 100 * 2)]
+
+#: ``main`` returns through a branch-entered block, so at threshold 1 the
+#: block anchors a recording that is still open when ``main``'s own
+#: ``ret`` ends the program.
+MAIN_RET_SOURCE = """
+long main() {
+  long i;
+  long acc;
+  acc = 0;
+  for (i = 0; i < 40; i++) { acc = acc + i; }
+  if (acc > 100) { acc = acc % 97; }
+  return acc;
+}
+"""
+MAIN_RET_EXIT = (39 * 40 // 2) % 97
 
 
 def _run(source, engine="trace", threshold=2, max_blocks=24, **kwargs):
@@ -362,3 +407,161 @@ class TestIsolation:
         assert first.output == second.output == HOT_OUTPUT
         key_count = len(first.interpreter._code.trace_codes)
         assert len(second.interpreter._code.trace_codes) == key_count
+
+
+# ---------------------------------------------------------------------------
+# Return traces (a recording closed by its frame's own ``ret``)
+# ---------------------------------------------------------------------------
+
+
+def _observables(interp):
+    """Everything a run exposes, for three-way comparisons that also hold
+    when the run died on a fault."""
+    runtime = interp.process.runtime
+    return (
+        interp.exit_code,
+        tuple(interp.output),
+        interp.stats.cycles,
+        interp.stats.instructions,
+        interp.stats.loads,
+        interp.stats.stores,
+        interp.stats.calls,
+        interp.stats.guard_cycles,
+        interp.stats.tracking_cycles,
+        runtime.stats.guards_executed,
+        runtime.stats.guard_faults,
+        bytes(interp.kernel.memory._data),
+    )
+
+
+def _run_capturing(source, engine, threshold=2):
+    """Run ``source``; return (interpreter, exception or None)."""
+    box = []
+
+    def setup(interpreter):
+        box.append(interpreter)
+        if hasattr(interpreter, "set_trace_tuning"):
+            interpreter.set_trace_tuning(threshold=threshold)
+
+    try:
+        run_carat(source, engine=engine, setup=setup)
+    except ProtectionFault as fault:
+        return box[0], fault
+    return box[0], None
+
+
+def _tail_block(interp, name):
+    function = interp.module.get_function(name)
+    return next(
+        b for b in function.blocks if isinstance(b.instructions[-1], ReturnInst)
+    )
+
+
+def _return_keys(interp):
+    return [k for k in interp._code.trace_codes if k[-1] == id(_RETURN)]
+
+
+class TestReturnTraces:
+    def test_hot_callee_tail_compiles_and_keeps_parity(self):
+        source = TAIL_SOURCE.replace("LIMIT", "1000")
+        runs = {
+            engine: _run_capturing(source, engine)
+            for engine in ("reference", "fast", "trace")
+        }
+        for interp, fault in runs.values():
+            assert fault is None
+            assert interp.output == TAIL_OUTPUT
+        trace = runs["trace"][0]
+        assert _return_keys(trace)
+        assert id(_tail_block(trace, "get")) in trace._traces
+        expected = _observables(runs["reference"][0])
+        assert _observables(runs["fast"][0]) == expected
+        assert _observables(trace) == expected
+
+    def test_main_ret_exits_with_exact_counts(self):
+        runs = {
+            engine: _run_capturing(MAIN_RET_SOURCE, engine, threshold=1)
+            for engine in ("reference", "fast", "trace")
+        }
+        expected = _observables(runs["reference"][0])
+        assert runs["reference"][0].exit_code == MAIN_RET_EXIT
+        assert _observables(runs["fast"][0]) == expected
+        trace = runs["trace"][0]
+        assert _observables(trace) == expected
+        # The open recording died with the program: nothing compiled for
+        # main's tail, and nothing was struck for it either.
+        assert trace._recorder is not None
+        assert not _return_keys(trace)
+
+    def test_guard_fault_inside_return_trace_reconciles(self):
+        source = TAIL_SOURCE.replace("LIMIT", "150")
+        runs = {
+            engine: _run_capturing(source, engine)
+            for engine in ("reference", "fast", "trace")
+        }
+        messages = {str(fault) for _interp, fault in runs.values()}
+        assert len(messages) == 1 and None not in messages
+        trace, fault = runs["trace"]
+        # The fault was raised from inside the return trace's closure.
+        closure = trace._traces[id(_tail_block(trace, "get"))]
+        frames = []
+        tb = fault.__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame)
+            tb = tb.tb_next
+        assert any(f.f_globals is closure.__globals__ for f in frames)
+        expected = _observables(runs["reference"][0])
+        assert _observables(runs["fast"][0]) == expected
+        assert _observables(trace) == expected
+
+    def test_kvservice_serve_anchors_all_compile(self):
+        workload = get_workload("kvservice", "small")
+        result = CaratSession(RunConfig(engine="trace")).run(workload.source)
+        interp = result.interpreter
+        serve = interp.module.get_function("serve")
+        serve_blocks = {id(b) for b in serve.blocks}
+        assert not serve_blocks & interp._trace_blacklist
+        # Before return traces every serve and lcg_next anchor struck
+        # out on its function's return and only 5 loop traces compiled.
+        assert result.stats.traces_compiled > 5
+        assert _return_keys(interp)
+
+
+class TestRespecializeEvents:
+    def _traced_run(self, fine_after_first_compile):
+        captured = []
+
+        def setup(interpreter):
+            interpreter.set_trace_tuning(threshold=2)
+            tracer = interpreter.process.runtime.tracer
+            captured.append(tracer)
+            if not fine_after_first_compile:
+                return
+            finish = interpreter._finish_trace
+
+            def finish_then_go_fine(*args, **kwargs):
+                fn = finish(*args, **kwargs)
+                if fn is not None and "_spec0" in fn.__globals__:
+                    tracer.detail = "fine"
+                return fn
+
+            interpreter._finish_trace = finish_then_go_fine
+
+        config = RunConfig(engine="trace", trace=True)
+        result = CaratSession(config, setup=setup).run(HOT_SOURCE)
+        assert result.output == HOT_OUTPUT
+        events = [e for e in captured[0].events if e.name == "trace.respecialize"]
+        return result, events
+
+    def test_normal_detail_counts_but_emits_nothing(self):
+        result, events = self._traced_run(fine_after_first_compile=False)
+        assert result.stats.trace_respecializations > 0
+        assert events == []
+
+    def test_fine_detail_emits_one_instant_per_respecialization(self):
+        # Specialization itself sits out under a fine tracer, so the
+        # tracer turns fine only once a trace with specialized guard
+        # sites exists (before any of them has run).
+        result, events = self._traced_run(fine_after_first_compile=True)
+        assert result.stats.trace_respecializations > 0
+        assert len(events) == result.stats.trace_respecializations
