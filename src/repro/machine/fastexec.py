@@ -16,6 +16,12 @@ changing a single observable number:
   specialized through small source templates compiled with ``exec`` so
   the operand reads, wrap arithmetic, and NaN checks are inline in the
   op itself rather than behind further calls;
+* each template's source text names its constants and slot keys and
+  receives their values through the op's namespace, so it depends only
+  on the op's shape: a process-wide **template cache** compiles each
+  distinct text once, as a factory over those names, and every later op
+  of that shape — in this module or any other — is one call of the
+  cached factory, which binds the op's own values as default arguments;
 * the compiled form is cached on the module (``Module.metadata``) and
   shared by every subsequent run of the same binary;
 * every ``carat.guard.*`` call site gets a numbered
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import math
 import struct
+import textwrap
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.carat.intrinsics import (
@@ -179,16 +186,25 @@ def _const_of(value: Value):
     return _NOT_CONST
 
 
+def _undefined_error(
+    interp: "FastInterpreter", values, operands
+) -> Optional[InterpError]:
+    """The reference error for the first unset SSA operand in
+    ``operands`` (evaluation order), or ``None`` when every one is set."""
+    for value in operands:
+        if isinstance(value, (Argument, Instruction)) and id(value) not in values:
+            return InterpError(
+                f"use of undefined value %{value.name} in "
+                f"@{interp.frames[-1].function.name}"
+            )
+    return None
+
+
 def _raise_undefined(interp: "FastInterpreter", values, *operands: Value) -> None:
     """Slow path behind an inlined slot read's KeyError: report the first
     unset SSA operand, in evaluation order, with the reference wording."""
-    for value in operands:
-        if isinstance(value, (Argument, Instruction)) and id(value) not in values:
-            raise InterpError(
-                f"use of undefined value %{value.name} in "
-                f"@{interp.frames[-1].function.name}"
-            ) from None
-    raise InterpError("undefined value in compiled op") from None
+    error = _undefined_error(interp, values, operands)
+    raise (error or InterpError("undefined value in compiled op")) from None
 
 
 # ----------------------------------------------------------------------
@@ -197,14 +213,39 @@ def _raise_undefined(interp: "FastInterpreter", values, *operands: Value) -> Non
 
 _GEN_GLOBALS: Dict[str, object] = {"_raise_undefined": _raise_undefined}
 
+#: (namespace names, template source text) -> the op factory compiled
+#: from it, process-wide.  A template names its constants and slot keys
+#: (``_kl``, ``_cr``, ``_max_u``, ...) and receives their values through
+#: ``ns``, so the text depends only on the op's *shape*: a few dozen
+#: distinct texts cover every registered workload, and each is compiled
+#: once per process.  The factory binds an op's values as default
+#: arguments (local reads), not as per-op globals: ops that shared one
+#: code object but each had their own globals dict would keep missing
+#: CPython's ``LOAD_GLOBAL`` inline caches (about 20% slower per call).
+_TEMPLATES: Dict[Tuple[str, str], Callable[..., Op]] = {}
+
+_OP_HEADER = "def op(interp, frame):\n"
+
 
 def _gen(source: str, ns: Dict[str, object]) -> Op:
-    """Compile one generated op.  ``ns`` holds the captured constants and
-    slot keys the source refers to."""
-    scope = dict(_GEN_GLOBALS)
-    scope.update(ns)
-    exec(compile(source, "<fastexec>", "exec"), scope)
-    return scope["op"]
+    """Instantiate one generated op.  ``source`` defines ``op`` and reads
+    the captured constants and slot keys ``ns`` holds; it is compiled,
+    wrapped in a factory taking ``ns``'s names, on first sight only."""
+    names = ", ".join(sorted(ns))
+    make = _TEMPLATES.get((names, source))
+    if make is None:
+        assert source.startswith(_OP_HEADER)
+        bound = ", ".join(f"{name}={name}" for name in sorted(ns))
+        factory = (
+            f"def make({names}):\n"
+            f"    def op(interp, frame, {bound}):\n"
+            + textwrap.indent(source[len(_OP_HEADER):], "    ")
+            + "    return op\n"
+        )
+        scope = dict(_GEN_GLOBALS)
+        exec(compile(factory, "<fastexec>", "exec"), scope)
+        make = _TEMPLATES[(names, source)] = scope["make"]
+    return make(**ns)
 
 
 def _expr(value: Value, ns: Dict[str, object], tag: str) -> str:
@@ -1330,9 +1371,7 @@ class FastInterpreter(Interpreter):
             stats.instructions += 1
             at_safepoint = is_terminator
             if is_terminator and stats.instructions >= self._next_tick:
-                self._next_tick = stats.instructions + self.tick_interval
-                if self.tick_hook is not None:
-                    self.tick_hook(self)
+                self._tick()
         if not frames:
             self.finished = True
             self.kernel.exit_process(self.process, self.exit_code)
@@ -1385,9 +1424,7 @@ class FastInterpreter(Interpreter):
             stats.instructions += 1
             at_safepoint = is_terminator
             if is_terminator and stats.instructions >= self._next_tick:
-                self._next_tick = stats.instructions + self.tick_interval
-                if self.tick_hook is not None:
-                    self.tick_hook(self)
+                self._tick()
         if not frames:
             self.finished = True
             self.kernel.exit_process(self.process, self.exit_code)

@@ -279,6 +279,15 @@ class Interpreter:
             self._next_tick, self.stats.instructions + interval
         )
 
+    def _tick(self) -> None:
+        """The tick tail every engine runs at a safepoint once
+        ``stats.instructions`` reaches ``_next_tick`` (the check itself
+        stays inline in each dispatch loop and trace): re-arm the next
+        tick, then call the hook."""
+        self._next_tick = self.stats.instructions + self.tick_interval
+        if self.tick_hook is not None:
+            self.tick_hook(self)
+
     def run_steps(self, max_steps: int) -> str:
         """Execute ~``max_steps`` instructions; 'done' or 'running'.
 
@@ -317,9 +326,7 @@ class Interpreter:
                 at_safepoint
                 and self.stats.instructions >= self._next_tick
             ):
-                self._next_tick = self.stats.instructions + self.tick_interval
-                if self.tick_hook is not None:
-                    self.tick_hook(self)
+                self._tick()
         if not self.frames:
             self.finished = True
             self.kernel.exit_process(self.process, self.exit_code)

@@ -26,6 +26,13 @@ changing a single observable number:
   batched per block segment, with a fault reconciler that restores the
   exact per-op totals on any raise (the cost model never sees the
   difference);
+* generated bodies stay lean for cold runs: inline operand reads carry
+  no error arm of their own — each segment's reconciler maps a
+  ``KeyError`` back to the reading op through a ``frame.index`` ->
+  operands table and raises the reference undefined-value error there —
+  and the tick tail after each terminator segment is one out-of-line
+  :meth:`~repro.machine.interp.Interpreter._tick` call behind its inline
+  check;
 * conditional branches keep both arms: the off-trace arm is a **side
   exit** that re-enters the block tier mid-loop (``trace_exits``
   counts them), with frame state — ``block``/``ops``/``index`` — kept
@@ -125,8 +132,8 @@ from repro.machine.fastexec import (
     _expr,
     _FastFrame,
     _gep_plan,
-    _raise_undefined,
     _slot_key,
+    _undefined_error,
     _FCMP_SYMBOL,
     _ICMP_SIGNED,
     _ICMP_UNSIGNED,
@@ -142,10 +149,23 @@ from repro.transform.simplify import fold_int_binop
 #: :meth:`~repro.runtime.regions.GuardMechanism.steady_cycles`).
 _SPECIALIZABLE = frozenset({"mpx", "binary_search", "if_tree"})
 
+
+def _undefined_read(interp, values, operands) -> None:
+    """A segment reconciler's ``KeyError`` arm: ``operands`` are the SSA
+    reads of the op at the faulting ``frame.index`` (``None`` for ops that
+    read through their own error handling).  Raises the reference
+    undefined-value error for the first unset one; returns when none is
+    unset, so the caller re-raises the ``KeyError`` unchanged."""
+    if operands:
+        error = _undefined_error(interp, values, operands)
+        if error is not None:
+            raise error from None
+
+
 #: Names resolvable from every generated trace body, merged with the
 #: per-trace and per-interpreter bindings at instantiation.
 _TRACE_GLOBALS: Dict[str, object] = {
-    "_raise_undefined": _raise_undefined,
+    "_undef": _undefined_read,
     "_ifb": int.from_bytes,
     "_inf": math.inf,
     "_nan": math.nan,
@@ -525,10 +545,13 @@ def _build_trace(
     error paths) minus the per-op dispatch: one ``while True:`` walks the
     segments :func:`_layout` derives from the chain, each becoming a
     ``try:`` region whose ``steps`` / ``instructions`` are batched at its
-    control op.  Tick and pause checks are emitted only after terminator
-    segments (branches and returns — the safepoints of both other
-    engines), never after calls, so safepoint alignment is preserved
-    exactly.  Call and return segments end in an inlined copy of the
+    control op.  Inline operand reads are bare slot lookups: the segment
+    records which SSA operands the op at each ``frame.index`` reads, and
+    its reconciler turns a ``KeyError`` into the reference
+    undefined-value error only when one of those operands is unset.
+    Tick and pause checks are emitted only after terminator segments
+    (branches and returns — the safepoints of both other engines), never
+    after calls, so safepoint alignment is preserved exactly.  Call and return segments end in an inlined copy of the
     block tier's call / return op — the real frame push/pop, with the
     same charges and error states — after which the generated code
     rebinds its ``frame`` / ``values`` locals to ``interp.frames[-1]``;
@@ -582,10 +605,14 @@ def _build_trace(
     else:
         mc = ""
 
-    def undef(ind: int, operands, t: int) -> None:
-        ns[f"_v{t}"] = tuple(operands)
-        w.line(ind, "except KeyError:")
-        w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
+    # frame.index -> the SSA operands the op at that index reads inline,
+    # in evaluation order; one table per segment, consulted only by the
+    # segment's reconciler and only for a KeyError.
+    seg_reads: Dict[int, Tuple[Value, ...]] = {}
+    cur_index = 0
+
+    def reads(operands) -> None:
+        seg_reads[cur_index] = seg_reads.get(cur_index, ()) + tuple(operands)
 
     def fallback(block: BasicBlock, k: int) -> None:
         # The block tier's compiled op, verbatim: it charges its own
@@ -646,19 +673,17 @@ def _build_trace(
             w.line(3, "if _sc.gen == _regions.version and not _windows:")
             emit_hit(4)
             w.line(3, "else:")
-            w.line(4, "try:")
-            w.line(5, f"_a = int({addr_e})")
-            w.line(5, f"_s = int({size_e})")
-            undef(4, (inst.args[0], inst.args[1]), t)
+            w.line(4, f"_a = int({addr_e})")
+            w.line(4, f"_s = int({size_e})")
+            reads((inst.args[0], inst.args[1]))
             w.line(4, f"_gc = _rt.guard_access(_a, _s, '{access}', _cells[{site}])")
             w.line(4, "stats.guard_cycles += _gc")
             w.line(4, "stats.cycles += _gc")
             available.setdefault(tg, jdom)
             return
-        w.line(3, "try:")
-        w.line(4, f"_a = int({addr_e})")
-        w.line(4, f"_s = int({size_e})")
-        undef(3, (inst.args[0], inst.args[1]), t)
+        w.line(3, f"_a = int({addr_e})")
+        w.line(3, f"_s = int({size_e})")
+        reads((inst.args[0], inst.args[1]))
         if jdom is not None:
             # Predictor-dependent mechanisms keep the bounds test (it is
             # what makes the hit provably steady) but share the
@@ -714,9 +739,8 @@ def _build_trace(
             w.line(4, "stats.cycles += _gc")
             available.setdefault(tg, jdom)
             return
-        w.line(3, "try:")
-        w.line(4, f"_s = int({size_e})")
-        undef(3, (inst.args[0],), t)
+        w.line(3, f"_s = int({size_e})")
+        reads((inst.args[0],))
         w.line(3, "_a = interp.sp - _s")
         if jdom is not None:
             j = jdom
@@ -753,20 +777,19 @@ def _build_trace(
         addr_e = expr(args[0], ns, f"{t}a")
         len_e = expr(args[1], ns, f"{t}n")
         w.line(3, "stats.cycles += _ci")
-        w.line(3, "try:")
-        w.line(4, f"_a = int({addr_e})")
-        w.line(4, f"_s = int({len_e})")
+        w.line(3, f"_a = int({addr_e})")
+        w.line(3, f"_s = int({len_e})")
         if len(args) > 2 and not isinstance(args[2], ConstantInt):
             flag_e = expr(args[2], ns, f"{t}f")
-            w.line(4, f"_c = 'write' if int({flag_e}) else 'read'")
+            w.line(3, f"_c = 'write' if int({flag_e}) else 'read'")
             acc = "_c"
-            undef(3, (args[0], args[1], args[2]), t)
+            reads((args[0], args[1], args[2]))
         else:
             if len(args) > 2:
                 acc = "'write'" if args[2].value else "'read'"
             else:
                 acc = "'read'"
-            undef(3, (args[0], args[1]), t)
+            reads((args[0], args[1]))
         j = spec_count
         spec_count += 1
         w.line(3, f"_sc = _spec{j}")
@@ -820,9 +843,8 @@ def _build_trace(
                 arg = expr(inst.args[0], ns, f"{t}a")
                 w.line(3, "stats.cycles += _ci")
                 w.line(3, "stats.calls += 1")
-                w.line(3, "try:")
-                w.line(4, f"_a = float({arg})")
-                undef(3, (inst.args[0],), t)
+                w.line(3, f"_a = float({arg})")
+                reads((inst.args[0],))
                 w.line(3, "try:")
                 w.line(4, f"values[{id(inst)}] = float(_fn{t}(_a))")
                 w.line(3, "except ValueError:")
@@ -876,9 +898,8 @@ def _build_trace(
                         if calc is not None:
                             lhs = expr(inst.lhs, ns, f"{t}a")
                             w.line(3, "stats.cycles += _ci")
-                            w.line(3, "try:")
-                            w.line(4, f"_m = int({lhs})")
-                            undef(3, (inst.lhs,), t)
+                            w.line(3, f"_m = int({lhs})")
+                            reads((inst.lhs,))
                             for line in calc:
                                 w.line(3, line)
                             w.line(3, f"_m = _m & {ty.max_unsigned}")
@@ -897,10 +918,9 @@ def _build_trace(
                         lhs = expr(inst.lhs, ns, f"{t}a")
                         rhs = expr(inst.rhs, ns, f"{t}b")
                         w.line(3, "stats.cycles += _ci")
-                        w.line(3, "try:")
-                        w.line(4, f"_a = int({lhs})")
-                        w.line(4, f"_b = int({rhs})")
-                        undef(3, (inst.lhs, inst.rhs), t)
+                        w.line(3, f"_a = int({lhs})")
+                        w.line(3, f"_b = int({rhs})")
+                        reads((inst.lhs, inst.rhs))
                         if op in ("sdiv", "srem", "udiv", "urem"):
                             w.line(3, "if _b == 0:")
                         else:
@@ -951,9 +971,8 @@ def _build_trace(
                 lhs = expr(inst.lhs, ns, f"{t}a")
                 rhs = expr(inst.rhs, ns, f"{t}b")
                 w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"_m = (int({lhs}) {symbol} int({rhs})) & {ty.max_unsigned}")
-                undef(3, (inst.lhs, inst.rhs), t)
+                w.line(3, f"_m = (int({lhs}) {symbol} int({rhs})) & {ty.max_unsigned}")
+                reads((inst.lhs, inst.rhs))
                 w.line(
                     3,
                     f"values[{key}] = _m - {ty.max_unsigned + 1}"
@@ -965,18 +984,16 @@ def _build_trace(
                 lhs = expr(inst.lhs, ns, f"{t}a")
                 rhs = expr(inst.rhs, ns, f"{t}b")
                 w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"values[{key}] = float({lhs}) {symbol} float({rhs})")
-                undef(3, (inst.lhs, inst.rhs), t)
+                w.line(3, f"values[{key}] = float({lhs}) {symbol} float({rhs})")
+                reads((inst.lhs, inst.rhs))
                 return
             if op == "fdiv":
                 lhs = expr(inst.lhs, ns, f"{t}a")
                 rhs = expr(inst.rhs, ns, f"{t}b")
                 w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"_a = float({lhs})")
-                w.line(4, f"_b = float({rhs})")
-                undef(3, (inst.lhs, inst.rhs), t)
+                w.line(3, f"_a = float({lhs})")
+                w.line(3, f"_b = float({rhs})")
+                reads((inst.lhs, inst.rhs))
                 w.line(3, "if _b == 0.0:")
                 w.line(
                     4,
@@ -1008,19 +1025,17 @@ def _build_trace(
                 mask = (1 << bits) - 1
                 compare = f"(int({lhs}) & {mask}) {symbol} (int({rhs}) & {mask})"
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"values[{key}] = 1 if {compare} else 0")
-            undef(3, (inst.lhs, inst.rhs), t)
+            w.line(3, f"values[{key}] = 1 if {compare} else 0")
+            reads((inst.lhs, inst.rhs))
             return
         if isinstance(inst, FCmpInst):
             symbol = _FCMP_SYMBOL[inst.predicate]
             lhs = expr(inst.lhs, ns, f"{t}a")
             rhs = expr(inst.rhs, ns, f"{t}b")
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = float({lhs})")
-            w.line(4, f"_b = float({rhs})")
-            undef(3, (inst.lhs, inst.rhs), t)
+            w.line(3, f"_a = float({lhs})")
+            w.line(3, f"_b = float({rhs})")
+            reads((inst.lhs, inst.rhs))
             w.line(
                 3,
                 f"values[{key}] = 0 if (_a != _a or _b != _b)"
@@ -1062,10 +1077,9 @@ def _build_trace(
                 fallback(block, k)  # unknown cast
                 return
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
             for line in body:
-                w.line(4, line)
-            undef(3, (inst.value,), t)
+                w.line(3, line)
+            reads((inst.value,))
             return
         if isinstance(inst, GEPInst):
             const_offset, dynamic, bad_type = _gep_plan(inst)
@@ -1083,9 +1097,8 @@ def _build_trace(
                     term += f" * {stride}"
                 terms.append(term)
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"values[{key}] = {' + '.join(terms)}")
-            undef(3, tuple(operands), t)
+            w.line(3, f"values[{key}] = {' + '.join(terms)}")
+            reads(tuple(operands))
             return
         if isinstance(inst, LoadInst):
             ty = inst.type
@@ -1108,9 +1121,8 @@ def _build_trace(
                 fallback(block, k)
                 return
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = int({pointer})")
-            undef(3, (inst.pointer,), t)
+            w.line(3, f"_a = int({pointer})")
+            reads((inst.pointer,))
             w.line(3, "stats.cycles += _cm")
             w.line(3, "stats.loads += 1")
             emit_tier(3)
@@ -1150,10 +1162,9 @@ def _build_trace(
                 fallback(block, k)
                 return
             w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = int({pointer})")
-            w.line(4, f"_v = {value}")
-            undef(3, (inst.pointer, inst.value), t)
+            w.line(3, f"_a = int({pointer})")
+            w.line(3, f"_v = {value}")
+            reads((inst.pointer, inst.value))
             w.line(3, "stats.cycles += _cm")
             w.line(3, "stats.stores += 1")
             emit_tier(3)
@@ -1185,12 +1196,9 @@ def _build_trace(
             exprs = [
                 expr(val, ns, f"{t}h{k2}") for k2, (_pid, val) in enumerate(moves)
             ]
-            w.line(ind, "try:")
             for k2, e in enumerate(exprs):
-                w.line(ind + 1, f"_hv{k2} = {e}")
-            ns[f"_pv{t}"] = tuple(val for _pid, val in moves)
-            w.line(ind, "except KeyError:")
-            w.line(ind + 1, f"_raise_undefined(interp, values, *_pv{t})")
+                w.line(ind, f"_hv{k2} = {e}")
+            reads(val for _pid, val in moves)
             nmv = len(moves)
             if nmv > 1:
                 w.line(ind, f"stats.cycles += _ci * {nmv}")
@@ -1215,9 +1223,8 @@ def _build_trace(
         t = tag
         tag += 1
         cexpr = expr(term.condition, ns, f"{t}c")
-        w.line(3, "try:")
-        w.line(4, f"_c = {cexpr}")
-        undef(3, (term.condition,), t)
+        w.line(3, f"_c = {cexpr}")
+        reads((term.condition,))
         on_true = term.targets[0] is nxt
         on_false = term.targets[1] is nxt
         if on_true and on_false:
@@ -1285,13 +1292,12 @@ def _build_trace(
         w.line(3, "_nf.prev_block = None")
         w.line(3, f"_nf.ops = _ops{eb[4:]}")
         if inst.args:
-            w.line(3, "try:")
             for j, (formal, actual) in enumerate(
                 zip(callee.args, inst.args)
             ):
                 arg_e = expr(actual, ns, f"{t}a{j}")
-                w.line(4, f"_nv[{id(formal)}] = {arg_e}")
-            undef(3, tuple(inst.args), t)
+                w.line(3, f"_nv[{id(formal)}] = {arg_e}")
+            reads(tuple(inst.args))
         w.line(3, "interp.frames.append(_nf)")
 
     def emit_return_inline(inst: ReturnInst, call: CallInst) -> None:
@@ -1306,9 +1312,8 @@ def _build_trace(
         w.line(3, "stats.cycles += _ci")
         rv = inst.return_value
         if rv is not None:
-            w.line(3, "try:")
-            w.line(4, f"_v = {expr(rv, ns, f'{t}r')}")
-            undef(3, (rv,), t)
+            w.line(3, f"_v = {expr(rv, ns, f'{t}r')}")
+            reads((rv,))
         w.line(3, "interp.sp = frame.sp_on_entry")
         w.line(3, "interp.frames.pop()")
         if rv is not None and not call.type.is_void:
@@ -1321,11 +1326,13 @@ def _build_trace(
     ci_line = "    " * 3 + "stats.cycles += _ci"
     for si, (block, start, stop, kind, data) in enumerate(segments):
         insts = block.instructions
+        seg_reads = {}
         w.line(2, "try:")
         mark = len(w.lines)
         for k in range(start, stop):
             inst = insts[k]
-            w.line(3, f"frame.index = {k + 1}")
+            cur_index = k + 1
+            w.line(3, f"frame.index = {cur_index}")
             emit_op(block, k, inst)
             _apply_kills(available, inst)
         # Batch the uniform per-op base charge: every inline op opens
@@ -1346,7 +1353,8 @@ def _build_trace(
                 w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
             else:
                 n_ci = 0
-        w.line(3, f"frame.index = {stop + 1}")
+        cur_index = stop + 1
+        w.line(3, f"frame.index = {cur_index}")
         exit_flag = None
         if kind == "term":
             term, target = data
@@ -1368,7 +1376,17 @@ def _build_trace(
             emit_return_inline(*data)
         else:
             fallback(block, stop)
-        w.line(2, "except BaseException:")
+        # One undefined-operand arm per segment, none per read: inline
+        # slot reads raise a bare KeyError, and the reconciler maps it
+        # back to the reading op through ``frame.index`` (after the same
+        # instruction and cycle accounting as any other fault).  A
+        # KeyError no listed operand explains — from a fallback op, an
+        # edge closure or the runtime — re-raises unchanged.
+        if seg_reads:
+            ns[f"_u{si}"] = seg_reads
+            w.line(2, "except BaseException as _exc:")
+        else:
+            w.line(2, "except BaseException:")
         if n_ci:
             # Un-charge the batched base cost of the body ops that never
             # ran: the faulting op (at frame.index - 1) and everything
@@ -1377,6 +1395,9 @@ def _build_trace(
             w.line(3, f"if _done < {n_ci}:")
             w.line(4, f"stats.cycles -= ({n_ci} - _done) * _ci")
         w.line(3, f"stats.instructions += frame.index - 1 - {start}")
+        if seg_reads:
+            w.line(3, "if isinstance(_exc, KeyError):")
+            w.line(4, f"_undef(interp, values, _u{si}.get(frame.index))")
         w.line(3, "raise")
         nops = stop + 1 - start
         w.line(2, f"steps += {nops}")
@@ -1393,11 +1414,10 @@ def _build_trace(
             # A call is not a safepoint in either other engine: no tick,
             # no pause check.
             continue
+        # The tick tail runs out of line (Interpreter._tick); only its
+        # cheap check is inlined, so the helper runs only when one fires.
         w.line(2, "if stats.instructions >= interp._next_tick:")
-        w.line(3, "interp._next_tick = stats.instructions + interp.tick_interval")
-        w.line(3, "_hook = interp.tick_hook")
-        w.line(3, "if _hook is not None:")
-        w.line(4, "_hook(interp)")
+        w.line(3, "interp._tick()")
         if exit_flag is not None:
             w.line(2, f"if {exit_flag}:")
             w.line(3, "stats.trace_exits += 1")
@@ -1610,13 +1630,12 @@ class TraceInterpreter(FastInterpreter):
         )
         tcode = self._code.trace_codes.get(key, _UNBUILT)
         if tcode is _UNBUILT:
-            try:
-                tcode = _build_trace(
-                    self._code, rec.chain, specialize, mech_name,
-                    self.is_carat, has_tier, end,
-                )
-            except Exception:
-                tcode = None
+            # A chain that cannot be linearized builds to None (a strike);
+            # anything else raised here is an emitter bug and propagates.
+            tcode = _build_trace(
+                self._code, rec.chain, specialize, mech_name,
+                self.is_carat, has_tier, end,
+            )
             self._code.trace_codes[key] = tcode  # None caches the reject
         if tcode is None:
             self._strike(anchor_key)
@@ -1682,9 +1701,7 @@ class TraceInterpreter(FastInterpreter):
             at_safepoint = is_terminator
             if is_terminator:
                 if stats.instructions >= self._next_tick:
-                    self._next_tick = stats.instructions + self.tick_interval
-                    if self.tick_hook is not None:
-                        self.tick_hook(self)
+                    self._tick()
                 if frames and frames[-1] is frame:
                     if self._recorder is not None:
                         fn = self._note_recorded_entry(frame)

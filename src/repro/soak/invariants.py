@@ -23,10 +23,10 @@ watchdog                  no forward progress / stalled moves
 ========================  ==========================================
 
 The leak detector is a windowed least-squares regression over the last
-``window`` epoch samples: a service whose working set is a sliding
-window should oscillate around a plateau, so a sustained positive slope
-(relative to the signal's magnitude) after warmup is growth that churn
-cannot explain.
+``window`` epoch samples, once all of them are past warmup: a service
+whose working set is a sliding window should oscillate around a
+plateau, so a sustained positive slope (relative to the signal's
+magnitude) after warmup is growth that churn cannot explain.
 """
 
 from __future__ import annotations
@@ -201,9 +201,14 @@ class SteadyStateMonitor:
         else:
             self._efi_breaches = 0
 
-        if past_warmup and len(self.samples) >= self.window:
+        # The leak regression sees only post-warmup samples: a window
+        # that still holds the start-up ramp would read it as growth.
+        tail = self.samples[-self.window:]
+        if len(tail) >= self.window and all(
+            s.epoch > self.warmup for s in tail
+        ):
             for signal in self.LEAK_SIGNALS:
-                self._check_leak(signal, sample.epoch)
+                self._check_leak(signal, tail, sample.epoch)
 
         if sample.oldest_quarantine_age > self.drain_budget:
             self.flag(
@@ -216,11 +221,12 @@ class SteadyStateMonitor:
             )
         return self.verdicts[before:]
 
-    def _check_leak(self, signal: str, epoch: int) -> None:
-        series = [float(getattr(s, signal)) for s in self.samples]
+    def _check_leak(
+        self, signal: str, tail: List[EpochSample], epoch: int
+    ) -> None:
+        series = [float(getattr(s, signal)) for s in tail]
         slope = windowed_slope(series, self.window)
-        tail = series[-self.window:]
-        mean = sum(tail) / len(tail)
+        mean = sum(series) / len(series)
         projected = slope * self.window
         if projected >= max(
             self.leak_min_growth, self.leak_min_relative * max(mean, 1.0)

@@ -122,6 +122,25 @@ class TestSteadyStateMonitor:
             )
         assert monitor.ok
 
+    def test_warmup_ramp_then_plateau_is_not_a_leak(self):
+        # The start-up ramp fills the table during warmup; a window that
+        # still held it would regress the ramp and call it a leak.
+        monitor = SteadyStateMonitor(warmup=5, window=8)
+        for epoch in range(1, 31):
+            monitor.observe(
+                make_sample(epoch, table_entries=100 * min(epoch, 5))
+            )
+        assert monitor.ok
+
+    def test_growth_after_warmup_is_still_a_leak(self):
+        monitor = SteadyStateMonitor(warmup=5, window=8)
+        for epoch in range(1, 41):
+            entries = 100 * min(epoch, 5) + 10 * max(0, epoch - 15)
+            monitor.observe(make_sample(epoch, table_entries=entries))
+        flagged = [v for v in monitor.verdicts if v.name == "leak-table-entries"]
+        assert len(flagged) == 1
+        assert flagged[0].epoch > 15
+
     def test_quarantine_overstay_flags_drain_verdict(self):
         monitor = SteadyStateMonitor(warmup=0, drain_budget=4)
         monitor.observe(make_sample(1, oldest_quarantine_age=5))

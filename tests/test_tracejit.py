@@ -6,13 +6,14 @@ observably the reference engine; this file tests the tier's own
 machinery — promotion thresholds, side exits, recording aborts and the
 blacklist, guard respecialization on region-generation bumps (and the
 detail level its trace events need), the new counters, per-interpreter
-isolation of compiled traces, and return traces.
+isolation of compiled traces, return traces, undefined-operand faults
+raised from generated code, and emitter failures that must fail the run.
 """
 
 import pytest
 
 from repro.carat.pipeline import CompileOptions, compile_carat
-from repro.errors import ProtectionFault
+from repro.errors import InterpError, ProtectionFault
 from repro.ir.instructions import ReturnInst
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
@@ -565,3 +566,118 @@ class TestRespecializeEvents:
         result, events = self._traced_run(fine_after_first_compile=True)
         assert result.stats.trace_respecializations > 0
         assert len(events) == result.stats.trace_respecializations
+
+
+# ---------------------------------------------------------------------------
+# Undefined operands and emitter failures
+# ---------------------------------------------------------------------------
+
+#: Hand-written IR that the verifier would reject: ``%done`` reads
+#: ``%i2``, which only ``%body`` defines, so ``@count(0)`` (whose loop
+#: body never runs) uses an undefined value.  ``main`` calls ``@count``
+#: with a falling argument; by the time it reaches 0, ``@count``'s loop
+#: and its ``%done`` tail are both compiled traces, so on the trace
+#: engine the fault is raised from generated code.  (``main``'s own
+#: loop blacklists: while ``%n`` is large, recording it would have to
+#: unroll ``@count``'s loop past the chain cap.)  The faulting read sits
+#: mid-segment, so the fault reconciler must settle both the ops before
+#: it and the batched charge of the op after it.
+UNDEFINED_IR = """
+declare void @print_long(i64)
+
+define i64 @count(i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %body ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %done
+body:
+  %i2 = add i64 %i, 1
+  br label %loop
+done:
+  %base = add i64 %n, 3
+  %r = add i64 %i2, %base
+  %twice = mul i64 %r, 2
+  ret i64 %twice
+}
+
+define void @main() {
+entry:
+  br label %head
+head:
+  %k = phi i64 [ 0, %entry ], [ %k2, %step ]
+  %acc = phi i64 [ 0, %entry ], [ %acc2, %step ]
+  %n = sub i64 100, %k
+  %v = call i64 @count(i64 %n)
+  %acc2 = add i64 %acc, %v
+  %k2 = add i64 %k, 1
+  %more = icmp slt i64 %k2, 101
+  br i1 %more, label %step, label %out
+step:
+  br label %head
+out:
+  call void @print_long(i64 %acc2)
+  ret void
+}
+"""
+
+
+def _undefined_binary():
+    from repro.ir import parse_module
+
+    options = CompileOptions(
+        optimize=False, verify=False, guards=False, tracking=False
+    )
+    return compile_carat(parse_module(UNDEFINED_IR), options)
+
+
+def _raised_in_trace_code(error):
+    tb = error.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == "<tracejit>":
+            return True
+        tb = tb.tb_next
+    return False
+
+
+class TestUndefinedValue:
+    def test_three_engines_fault_alike_inside_a_trace(self):
+        faults = {}
+        for engine in ("reference", "fast", "trace"):
+            box = []
+            config = RunConfig(engine=engine)
+            session = CaratSession(config, setup=box.append)
+            with pytest.raises(InterpError) as info:
+                session.run(_undefined_binary())
+            interp = box[0]
+            faults[engine] = (
+                str(info.value),
+                interp.stats.instructions,
+                interp.stats.cycles,
+                interp.stats.calls,
+            )
+            if engine == "trace":
+                assert interp.stats.traces_compiled > 0
+                assert _raised_in_trace_code(info.value)
+        assert faults["reference"][0] == "use of undefined value %i2 in @count"
+        assert faults["fast"] == faults["reference"]
+        assert faults["trace"] == faults["reference"]
+
+
+class TestEmitterFailures:
+    def test_broken_emitter_fails_the_run(self, monkeypatch):
+        # A code-generation bug must surface, not turn into a silent
+        # blacklist strike that leaves the program on the block tier.
+        from repro.machine import tracejit
+
+        monkeypatch.setattr(
+            tracejit._W, "source", lambda self: "def trace(:\n"
+        )
+        with pytest.raises(SyntaxError):
+            _run(HOT_SOURCE)
+
+    def test_unlinearizable_chain_is_still_a_strike(self):
+        result = _run(RECURSIVE_SOURCE)
+        assert result.output == RECURSIVE_OUTPUT
+        assert result.interpreter._trace_blacklist
